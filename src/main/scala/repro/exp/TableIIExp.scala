@@ -4,13 +4,13 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.SparkSession
 import repro.mi.{ColData, EstimatorKind, MI, MleSpark, NumCol, StrCol}
 import repro.sketch.{AggFn, Lv2Sk, PriSk, Sketch, Sketcher, TupSk}
-import repro.stats.{Rng, Stats}
+import repro.stats.Stats
 import repro.synth.OpenDataGen
 
 /** Table II experiment (Section V-C1): over a collection of table pairs,
   * compare sketch MI estimates (n = 1024) against the MI estimated on the
-  * full join (the only available ground-truth proxy on real data). Reports
-  * per sketching scheme the average sketch-join size, Spearman's rank
+  * whole full join (the only available ground-truth proxy on real data).
+  * Reports per sketching scheme the average sketch-join size, Spearman's rank
   * correlation between sketch and full-join estimates, and MSE — keeping only
   * estimates whose sketch-join exceeds 100 rows, as the paper does.
   */
@@ -26,23 +26,21 @@ object TableIIExp {
 
   val SketchN     = 1024
   val MinJoinSize = 100
-  /** Cap on rows fed to the O(N^2) KSG-family full-join estimates. */
-  val MaxFullEst  = 5000
 
   val sketchers: Seq[Sketcher] = Seq(Lv2Sk, PriSk, TupSk)
 
   def run(spark: SparkSession, collection: String, nPairs: Int = 120,
-          n: Int = SketchN, seed: Long = 11,
-          impl: Sketch.TopNImpl = Sketch.TopNImpl.Udaf): Seq[Rec] = {
+          n: Int = SketchN, seed: Long = 11): Seq[Rec] = {
     spark.conf.set("spark.sql.shuffle.partitions", "8")
-    val conf = Sketch.SketchConf(n, impl)
+    val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
     for (spec <- OpenDataGen.specs(collection, nPairs, seed)) {
       val pair = OpenDataGen.generate(spark, spec)
       pair.train.cache(); pair.cand.cache()
       try {
         val agg  = if (spec.xNumeric) AggFn.Avg else AggFn.Mode
-        val kind = dispatch(spec.xNumeric, spec.yNumeric)
+        // From the spec, not the sample: an empty sample collects as NumCol.
+        val kind = MI.auto(spec.xNumeric, spec.yNumeric)
 
         // Full-join reference estimate.
         val joined = repro.sketch.Featurize
@@ -50,7 +48,7 @@ object TableIIExp {
           .filter(col("xn").isNotNull || col("xstr").isNotNull)
           .cache()
         val (fullSize, fullMI) =
-          try (joined.count(), fullEstimate(spark, joined, spec, kind, seed))
+          try (joined.count(), fullEstimate(joined, spec, kind))
           finally joined.unpersist()
 
         // Sketch estimates.
@@ -68,33 +66,19 @@ object TableIIExp {
     out.result()
   }
 
-  /** Estimator choice by column types (Section V, "MI Estimators"). */
-  def dispatch(xNumeric: Boolean, yNumeric: Boolean): EstimatorKind = (xNumeric, yNumeric) match {
-    case (false, false) => EstimatorKind.MLE
-    case (true, true)   => EstimatorKind.MixedKSG
-    case _              => EstimatorKind.DCKSG
-  }
-
-  private def fullEstimate(spark: SparkSession,
-                           joined: org.apache.spark.sql.DataFrame,
-                           spec: OpenDataGen.PairSpec, kind: EstimatorKind,
-                           seed: Long): Double = {
+  /** The reference estimate on the whole full join. */
+  private def fullEstimate(joined: org.apache.spark.sql.DataFrame,
+                           spec: OpenDataGen.PairSpec, kind: EstimatorKind): Double = {
     if (kind == EstimatorKind.MLE) {
       // Discrete-discrete: distributed plug-in estimate, no collection needed.
       MleSpark.mi(joined.select(col("xstr") as "x", col("y")), "x", "y")
     } else {
       val xCol = if (spec.xNumeric) "xn" else "xstr"
       val rows = joined.select(col(xCol), col("y")).collect()
-      val rng  = new Rng(seed * 31 + spec.id)
-      val idx =
-        if (rows.length <= MaxFullEst) rows.indices.toArray
-        else Array.fill(MaxFullEst)(rng.nextInt(rows.length))
       val x: ColData =
-        if (spec.xNumeric) NumCol(idx.map(i => rows(i).getDouble(0)))
-        else StrCol(idx.map(i => rows(i).getString(0)))
+        if (spec.xNumeric) NumCol(rows.map(_.getDouble(0))) else StrCol(rows.map(_.getString(0)))
       val y: ColData =
-        if (spec.yNumeric) NumCol(idx.map(i => rows(i).getDouble(1)))
-        else StrCol(idx.map(i => rows(i).getString(1)))
+        if (spec.yNumeric) NumCol(rows.map(_.getDouble(1))) else StrCol(rows.map(_.getString(1)))
       MI.estimate(kind, x, y)
     }
   }

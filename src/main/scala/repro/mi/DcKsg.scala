@@ -35,7 +35,7 @@ object DcKsg {
     if (n <= k) return 0.0
 
     // Sorted continuous values over the kept points, for global range counts.
-    val sortedY = kept.map(cont(_)).sorted
+    val sortedY = Knn.sorted(kept.map(cont(_)))
 
     var sumPsiK = 0.0
     var sumPsiC = 0.0
@@ -57,7 +57,7 @@ object DcKsg {
           found += 1
         }
         // Global count of points within r of y_i (excluding self).
-        val mi = upperBound(sortedY, yi + r) - lowerBound(sortedY, yi - r) - 1
+        val mi = Knn.count(sortedY, yi, r, inclusive = true) - 1
         sumPsiK += digamma(ki.toDouble)
         sumPsiC += digamma(cSize.toDouble)
         sumPsiM += digamma(math.max(1, mi).toDouble)
@@ -66,19 +66,5 @@ object DcKsg {
     }
     val est = digamma(n.toDouble) + (sumPsiK - sumPsiC - sumPsiM) / n
     math.max(0.0, est)
-  }
-
-  /** First index with a(i) >= v. */
-  private def lowerBound(a: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) < v) lo = m + 1 else hi = m }
-    lo
-  }
-
-  /** First index with a(i) > v. */
-  private def upperBound(a: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (a(m) <= v) lo = m + 1 else hi = m }
-    lo
   }
 }

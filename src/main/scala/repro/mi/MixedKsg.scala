@@ -22,45 +22,19 @@ object MixedKsg {
     val n = xs.length
     require(ys.length == n, "MixedKSG: size mismatch")
     require(n > k + 1, s"MixedKSG needs more than k+1=${k + 1} samples, got $n")
-    val logN = math.log(n.toDouble)
-    var acc  = 0.0
-    val knn  = new Array[Double](k)
-    var i    = 0
+    val logN         = math.log(n.toDouble)
+    val (rho, zeros) = Knn.joint(xs, ys, k)
+    val sx           = Knn.sorted(xs)
+    val sy           = Knn.sorted(ys)
+    var acc          = 0.0
+    var i            = 0
     while (i < n) {
-      java.util.Arrays.fill(knn, Double.PositiveInfinity)
-      var j = 0
-      while (j < n) {
-        if (j != i) {
-          val d = math.max(math.abs(xs(j) - xs(i)), math.abs(ys(j) - ys(i)))
-          if (d < knn(k - 1)) {
-            var p = k - 1
-            while (p > 0 && knn(p - 1) > d) { knn(p) = knn(p - 1); p -= 1 }
-            knn(p) = d
-          }
-        }
-        j += 1
-      }
-      val rho = knn(k - 1)
-      var kp  = 1 // counts include the point itself, as in the reference impl
-      var nx  = 1
-      var ny  = 1
-      j = 0
-      while (j < n) {
-        if (j != i) {
-          val dx = math.abs(xs(j) - xs(i))
-          val dy = math.abs(ys(j) - ys(i))
-          if (rho == 0.0) {
-            if (dx == 0.0 && dy == 0.0) kp += 1
-            if (dx == 0.0) nx += 1
-            if (dy == 0.0) ny += 1
-          } else {
-            if (dx < rho) nx += 1
-            if (dy < rho) ny += 1
-          }
-        }
-        j += 1
-      }
-      val kTilde = if (rho == 0.0) kp else k
+      // Counts include the point itself, as in the reference implementation;
+      // at rho == 0 they count the ties (distance <= 0).
+      val tie    = rho(i) == 0.0
+      val kTilde = if (tie) zeros(i) else k
+      val nx     = Knn.count(sx, xs(i), rho(i), inclusive = tie)
+      val ny     = Knn.count(sy, ys(i), rho(i), inclusive = tie)
       acc += digamma(kTilde.toDouble) + logN - digamma(nx.toDouble) - digamma(ny.toDouble)
       i += 1
     }

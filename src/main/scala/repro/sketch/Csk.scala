@@ -29,6 +29,6 @@ object Csk extends Sketcher {
                            conf: SketchConf): DataFrame = {
     val firsts = Featurize.aggregateNorm(Sketch.normalize(df, key, value), AggFn.First)
     val pre    = Sketcher.pre(firsts, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n, Sketch.TopNImpl.Udaf)
   }
 }

@@ -27,10 +27,6 @@ object Featurize {
     * numbering stays deterministic).
     */
   def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
-    val numeric = agg match {
-      case AggFn.Avg | AggFn.Count | AggFn.Max | AggFn.Min => true
-      case _                                               => false
-    }
     agg match {
       case AggFn.First =>
         norm
@@ -40,20 +36,15 @@ object Featurize {
             min_by(col("vStr"), col("rid")) as "vStr",
             min("rid") as "rid",
           )
-      case AggFn.Avg =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(avg("vNum") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Count =>
-        norm.groupBy("k").agg(count(lit(1)).cast("double") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Max =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(max("vNum") as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Min =>
-        requireNumeric(norm, agg)
-        norm.groupBy("k").agg(min("vNum") as "vNum", min("rid") as "rid")
+      case AggFn.Avg | AggFn.Count | AggFn.Max | AggFn.Min =>
+        if (agg != AggFn.Count) requireNumeric(norm, agg)
+        val v = agg match {
+          case AggFn.Avg => avg("vNum")
+          case AggFn.Max => max("vNum")
+          case AggFn.Min => min("vNum")
+          case _         => count(lit(1)).cast("double")
+        }
+        norm.groupBy("k").agg(v as "vNum", min("rid") as "rid")
           .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
       case AggFn.Mode =>
         // Count each (k, value) pair, then keep the most frequent value per

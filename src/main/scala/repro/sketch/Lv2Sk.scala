@@ -70,7 +70,7 @@ private[sketch] object TwoLevel {
     // uniform KMV over keys (all weights 1) on the candidate side.
     val aggd = Featurize.aggregateNorm(Sketch.normalize(df, key, value), agg)
     val pre  = Sketcher.pre(aggd, Hashing.huKey(Hashing.SaltKey, col("k")))
-    Sketch.topN(pre, conf.n, conf.impl)
+    Sketch.topN(pre, conf.n, Sketch.TopNImpl.Udaf)
   }
 }
 

@@ -23,23 +23,24 @@ object Sketch {
     case object SortLimit extends TopNImpl
   }
 
-  /** Sketching parameters: the single size parameter n the paper advertises,
-    * plus the execution knob for the top-n selection.
-    */
-  final case class SketchConf(n: Int, impl: TopNImpl = TopNImpl.Udaf) {
+  /** Sketching parameters: the single size parameter n the paper advertises. */
+  final case class SketchConf(n: Int) {
     require(n > 0, "sketch size must be positive")
   }
 
   /** Normalize an input table's (key, value) pair to columns
     * `[k: string, vNum: double?, vStr: string?, rid: long]`, dropping rows
-    * with NULL key or value (left-join misses are discarded per Section III).
-    * `rid` is a per-partition-stable row id used to define occurrence order.
+    * with NULL key or value (left-join misses are discarded per Section III)
+    * and rows whose numeric value is NaN or infinite, which the k-NN
+    * estimators cannot order. `rid` is a per-partition-stable row id used to
+    * define occurrence order.
     */
   def normalize(df: DataFrame, key: String, value: String): DataFrame = {
     val numeric = df.schema(value).dataType.isInstanceOf[NumericType]
     val vNum    = if (numeric) df(value).cast("double") else lit(null).cast("double")
     val vStr    = if (numeric) lit(null).cast("string") else df(value).cast("string")
-    df.filter(df(key).isNotNull && df(value).isNotNull)
+    val finite  = if (numeric) !isnan(vNum) && abs(vNum) =!= Double.PositiveInfinity else lit(true)
+    df.filter(df(key).isNotNull && df(value).isNotNull && finite)
       .select(
         df(key).cast("string") as "k",
         vNum as "vNum",

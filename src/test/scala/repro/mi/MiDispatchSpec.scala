@@ -13,6 +13,10 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(MI.auto(nums(10), nums(10)) == EstimatorKind.MixedKSG)
     assert(MI.auto(strs(10), nums(10)) == EstimatorKind.DCKSG)
     assert(MI.auto(nums(10), strs(10)) == EstimatorKind.DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = false) == EstimatorKind.MLE)
+    assert(MI.auto(xNumeric = true, yNumeric = true) == EstimatorKind.MixedKSG)
+    assert(MI.auto(xNumeric = true, yNumeric = false) == EstimatorKind.DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = true) == EstimatorKind.DCKSG)
   }
 
   test("estimate rejects mismatched sample sizes") {
@@ -24,6 +28,17 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(MI.estimate(EstimatorKind.KSG, nums(3), nums(3)).isNaN)
     assert(MI.estimate(EstimatorKind.MixedKSG, nums(4), nums(4)).isNaN)
     assert(MI.estimate(EstimatorKind.DCKSG, strs(4), nums(4)).isNaN)
+  }
+
+  test("k-NN estimators return NaN when a numeric value is NaN or infinite") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val x = nums(50); x.values(7) = bad
+      val y = nums(50)
+      assert(MI.estimate(EstimatorKind.KSG, x, y).isNaN, s"$bad")
+      assert(MI.estimate(EstimatorKind.MixedKSG, y, x).isNaN, s"$bad")
+      assert(MI.estimate(EstimatorKind.DCKSG, strs(50), x).isNaN, s"$bad")
+      assert(MI.estimate(EstimatorKind.DCKSG, x, y).isNaN, s"$bad")
+    }
   }
 
   test("MLE works through the dispatcher on strings and on numerics") {

@@ -93,6 +93,13 @@ class FeaturizeSpec extends SparkSpec {
     assert(Sketch.normalize(c, "k", "z").count() == 1)
   }
 
+  test("normalization drops NaN and infinite numeric values") {
+    val c = Seq(("a", Double.NaN), ("a", Double.PositiveInfinity), ("b", Double.NegativeInfinity),
+                ("b", 2.0)).toDF("k", "z")
+    assert(Sketch.normalize(c, "k", "z").select("vNum").collect().map(_.getDouble(0)).toSeq ==
+      Seq(2.0))
+  }
+
   test("aggregation output has unique keys") {
     val agg = Featurize.aggregateNorm(Sketch.normalize(candNum, "k", "z"), AggFn.Avg)
     assert(agg.count() == agg.select("k").distinct().count())
