@@ -98,6 +98,15 @@ class ExpSpec extends SparkSpec {
     assert(math.abs(row.mse - (0.04 + 0.16) / 2) < 1e-12)
   }
 
+  test("estimator dispatch for Table II follows the paper") {
+    // Table II dispatches on the generated column types through MI.auto.
+    import repro.mi.EstimatorKind._
+    assert(MI.auto(xNumeric = false, yNumeric = false) == MLE)
+    assert(MI.auto(xNumeric = true, yNumeric = true) == MixedKSG)
+    assert(MI.auto(xNumeric = true, yNumeric = false) == DCKSG)
+    assert(MI.auto(xNumeric = false, yNumeric = true) == DCKSG)
+  }
+
   test("Table II reference is the estimate on the whole full join") {
     // WBF pair 0 of seed 39 is numeric-numeric and joins 5223 rows.
     val spec = OpenDataGen.specs("WBF", 1, 39).head

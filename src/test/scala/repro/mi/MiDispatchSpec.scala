@@ -13,10 +13,6 @@ class MiDispatchSpec extends AnyFunSuite {
     assert(MI.auto(nums(10), nums(10)) == EstimatorKind.MixedKSG)
     assert(MI.auto(strs(10), nums(10)) == EstimatorKind.DCKSG)
     assert(MI.auto(nums(10), strs(10)) == EstimatorKind.DCKSG)
-    assert(MI.auto(xNumeric = false, yNumeric = false) == EstimatorKind.MLE)
-    assert(MI.auto(xNumeric = true, yNumeric = true) == EstimatorKind.MixedKSG)
-    assert(MI.auto(xNumeric = true, yNumeric = false) == EstimatorKind.DCKSG)
-    assert(MI.auto(xNumeric = false, yNumeric = true) == EstimatorKind.DCKSG)
   }
 
   test("estimate rejects mismatched sample sizes") {
