@@ -3,6 +3,7 @@ package repro.sketch
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.NumericType
 
 /** Featurization functions AGG (Section III-B): derive the augmentation table
   * `T_aug[K_X, X]` from a candidate `T_cand[K_Z, Z]` whose keys repeat.
@@ -21,6 +22,17 @@ object AggFn {
 
 object Featurize {
 
+  /** Normalize `df`'s (key, value) pair and aggregate it with `agg`: the
+    * candidate side of every sketch and of the full join. AVG, MAX and MIN
+    * need a numeric source column; the check reads only the schema.
+    */
+  def aggregate(df: DataFrame, key: String, value: String, agg: AggFn): DataFrame = {
+    val t = df.schema(value).dataType
+    require(!Seq(AggFn.Avg, AggFn.Max, AggFn.Min).contains(agg) || t.isInstanceOf[NumericType],
+            s"${agg.name} needs a numeric column; $value is ${t.simpleString}")
+    aggregateNorm(Sketch.normalize(df, key, value), agg)
+  }
+
   /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key,
     * keeping the normalized value representation: `[k, vNum, vStr, rid]`
     * (rid = smallest source rid of the group, so downstream occurrence
@@ -37,7 +49,6 @@ object Featurize {
             min("rid") as "rid",
           )
       case AggFn.Avg | AggFn.Count | AggFn.Max | AggFn.Min =>
-        if (agg != AggFn.Count) requireNumeric(norm, agg)
         val v = agg match {
           case AggFn.Avg => avg("vNum")
           case AggFn.Max => max("vNum")
@@ -62,16 +73,6 @@ object Featurize {
     }
   }
 
-  private def requireNumeric(norm: DataFrame, agg: AggFn): Unit = {
-    // Normalization puts numeric values in vNum; a string-typed column has
-    // vNum identically null, which would silently yield empty aggregates.
-    // The check is structural (schema-level), not a data scan.
-    require(
-      norm.schema.fieldNames.contains("vNum"),
-      s"${agg.name} requires a normalized input",
-    )
-  }
-
   /** The paper's join-aggregation query (Section III-B): left-join the train
     * table with the aggregated candidate, producing `[kY, y, x]`. Used by the
     * oracle tests and by full-join (non-sketched) MI estimation.
@@ -79,7 +80,7 @@ object Featurize {
   def augmentedJoin(train: DataFrame, trainKey: String, trainVal: String,
                     cand: DataFrame, candKey: String, candVal: String,
                     agg: AggFn): DataFrame = {
-    val aug = aggregateNorm(Sketch.normalize(cand, candKey, candVal), agg)
+    val aug = aggregate(cand, candKey, candVal, agg)
       .select(
         col("k") as "kx",
         coalesce(col("vNum").cast("string"), col("vStr")) as "xs",

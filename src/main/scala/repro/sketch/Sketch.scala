@@ -1,6 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
@@ -11,6 +11,11 @@ import repro.mi.{ColData, NumCol, StrCol}
   * tuples ⟨h(k), x_k⟩ plus the h_u value used for sampling (kept for
   * diagnostics). Exactly one of vNum/vStr is non-null per table, determined
   * by the sketched column's type.
+  *
+  * This object holds the pieces every scheme shares: input normalization,
+  * occurrence numbering, the top-n selection, the sketch join and the
+  * collected sample. The five schemes are one pipeline over them, told
+  * apart only by data (`Sketcher`).
   */
 object Sketch {
 
@@ -102,28 +107,3 @@ object Sketch {
 
 /** One sketch tuple; `hu` orders the k-minimum selection. */
 final case class SketchRow(hkey: Long, hu: Double, vNum: Option[Double], vStr: Option[String])
-
-/** A sketching scheme: how to sample the train (left) table, whose keys may
-  * repeat, and the candidate (right) table, whose repeated keys are
-  * aggregated into the `T_aug` the join needs (Section IV).
-  */
-trait Sketcher {
-  def name: String
-  def sketchLeft(df: DataFrame, key: String, value: String, conf: Sketch.SketchConf): DataFrame
-  def sketchRight(df: DataFrame, key: String, value: String, agg: AggFn,
-                  conf: Sketch.SketchConf): DataFrame
-}
-
-object Sketcher {
-  /** All schemes evaluated in the paper's Tables I/II. */
-  def all: Seq[Sketcher] = Seq(Csk, IndSk, Lv2Sk, PriSk, TupSk)
-
-  /** Build a pre-sketch `[hkey, hu, vNum, vStr]` from normalized rows. */
-  private[sketch] def pre(norm: DataFrame, hu: Column): DataFrame =
-    norm.select(
-      repro.core.Hashing.hkey(col("k")) as "hkey",
-      hu as "hu",
-      col("vNum"),
-      col("vStr"),
-    )
-}

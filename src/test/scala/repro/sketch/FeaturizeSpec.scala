@@ -100,6 +100,23 @@ class FeaturizeSpec extends SparkSpec {
       Seq(2.0))
   }
 
+  private val candStr = Seq(("a", "u"), ("a", "v"), ("b", "w")).toDF("k", "z")
+
+  test("AVG, MAX and MIN over a string column are rejected") {
+    val train = Seq(("a", 1.0), ("b", 2.0)).toDF("k", "y")
+    for (agg <- Seq(AggFn.Avg, AggFn.Max, AggFn.Min)) {
+      intercept[IllegalArgumentException](
+        TupSk.sketchRight(candStr, "k", "z", agg, Sketch.SketchConf(4)))
+      intercept[IllegalArgumentException](
+        Featurize.augmentedJoin(train, "k", "y", candStr, "k", "z", agg))
+    }
+  }
+
+  test("CSK ignores AGG, so AVG over a string column is accepted") {
+    val sk = Csk.sketchRight(candStr, "k", "z", AggFn.Avg, Sketch.SketchConf(4))
+    assert(sk.select("vStr").collect().map(_.getString(0)).toSet == Set("u", "w"))
+  }
+
   test("aggregation output has unique keys") {
     val agg = Featurize.aggregateNorm(Sketch.normalize(candNum, "k", "z"), AggFn.Avg)
     assert(agg.count() == agg.select("k").distinct().count())

@@ -124,6 +124,16 @@ class Lv2SkSpec extends SparkSpec {
     df.unpersist()
   }
 
+  test("building a two-level left sketch runs no Spark job") {
+    // The value column throws when evaluated, so any job over it fails.
+    val boom = udf((id: Long) => { if (id >= 0) throw new IllegalStateException("evaluated"); 0.0 })
+    val df   = spark.range(0, 100, 1, 1).select(col("id") % 7 as "k", boom(col("id")) as "v")
+    for (sk <- Seq(Lv2Sk, PriSk)) {
+      val sketch = sk.sketchLeft(df, "k", "v", SketchConf(4))
+      intercept[Exception](sketch.collect())
+    }
+  }
+
   test("PRISK sketch size obeys the same [n, 2n] bound") {
     val df = repro.SynthData.zipfKeys(spark, rows = 8000, nKeys = 1500, seed = 10)
     val c  = PriSk.sketchLeft(df, "k", "v", SketchConf(200)).count()
