@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.mi.{EstimatorKind, MI, NumCol}
 import repro.sketch.{AggFn, Sketch, Sketcher}
+import repro.sketch.Sketch.SketchData
 import repro.stats.{Rng, Stats}
 import repro.synth.{CDUnif, Decompose, Trinomial}
 
@@ -78,9 +79,9 @@ object TableIExp {
       pair.train.cache(); pair.cand.cache()
       try {
         for (sk <- Sketcher.all) {
-          val left   = sk.sketchLeft(pair.train, "k", "y", conf)
-          val right  = sk.sketchRight(pair.cand, "k", "x", AggFn.First, conf)
-          val sample = Sketch.collectSample(Sketch.join(left, right))
+          val left   = SketchData.collect(sk.sketchLeft(pair.train, "k", "y", conf))
+          val right  = SketchData.collect(sk.sketchRight(pair.cand, "k", "x", AggFn.First, conf))
+          val sample = Sketch.merge(left, right)
           val sx     = sample.x.asInstanceOf[NumCol].values
           val sy     = sample.y.asInstanceOf[NumCol].values
           for (est <- estimators) {

@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.SparkSession
 import repro.mi.{ColData, EstimatorKind, MI, MleSpark, NumCol, StrCol}
 import repro.sketch.{AggFn, Lv2Sk, PriSk, Sketch, Sketcher, TupSk}
+import repro.sketch.Sketch.SketchData
 import repro.stats.Stats
 import repro.synth.OpenDataGen
 
@@ -53,9 +54,9 @@ object TableIIExp {
 
         // Sketch estimates.
         for (sk <- sketchers) {
-          val left   = sk.sketchLeft(pair.train, "k", "y", conf)
-          val right  = sk.sketchRight(pair.cand, "k", "x", agg, conf)
-          val sample = Sketch.collectSample(Sketch.join(left, right))
+          val left   = SketchData.collect(sk.sketchLeft(pair.train, "k", "y", conf))
+          val right  = SketchData.collect(sk.sketchRight(pair.cand, "k", "x", agg, conf))
+          val sample = Sketch.merge(left, right)
           val est =
             if (sample.size < 2) Double.NaN
             else MI.estimate(kind, sample.x, sample.y)

@@ -13,9 +13,12 @@ import repro.mi.{ColData, NumCol, StrCol}
   * by the sketched column's type.
   *
   * This object holds the pieces every scheme shares: input normalization,
-  * occurrence numbering, the top-n selection, the sketch join and the
-  * collected sample. The five schemes are one pipeline over them, told
-  * apart only by data (`Sketcher`).
+  * occurrence numbering and the top-n selection, over which the five
+  * schemes are one pipeline told apart only by data (`Sketcher`); and the
+  * paper's deployment model (Sections I, V-D): sketch each table once,
+  * collect the small sketch to the driver as a [[Sketch.SketchData]] (one
+  * Spark job), then join sketches in memory with [[Sketch.merge]], which
+  * runs no Spark job.
   */
 object Sketch {
 
@@ -76,33 +79,73 @@ object Sketch {
         .toDF()
   }
 
-  /** Merge two sketches into a sample of the join (Section IV, "Approach
-    * Overview"): inner-join on the hashed key. The left (train) sketch holds
-    * the target Y, the right (candidate) sketch the feature X.
+  /** A sketch collected to the driver: its rows as arrays sorted by hkey,
+    * ties in value order, so the layout is a function of the sketch's
+    * contents. `values` is numeric iff no row holds a string; an empty
+    * sketch is numeric.
     */
-  def join(left: DataFrame, right: DataFrame): DataFrame =
-    left
-      .select(col("hkey"), col("vNum") as "yNum", col("vStr") as "yStr")
-      .join(
-        right.select(col("hkey"), col("vNum") as "xNum", col("vStr") as "xStr"),
-        Seq("hkey"),
-      )
+  final case class SketchData(hkey: Array[Long], values: ColData) {
+    def size: Int = hkey.length
+  }
+
+  object SketchData {
+    /** Collect a sketch `[hkey, hu, vNum, vStr]` in one Spark job. */
+    def collect(sketch: DataFrame): SketchData = {
+      val rows = sketch.select("hkey", "vNum", "vStr").collect()
+      if (rows.forall(_.isNullAt(2))) {
+        val kv = rows.map(r => (r.getLong(0), r.getDouble(1)))
+          .sorted(Ordering.Tuple2(Ordering.Long, Ordering.Double.TotalOrdering))
+        SketchData(kv.map(_._1), NumCol(kv.map(_._2)))
+      } else {
+        val kv = rows.map(r => (r.getLong(0), r.getString(2))).sorted
+        SketchData(kv.map(_._1), StrCol(kv.map(_._2)))
+      }
+    }
+  }
 
   /** A collected sketch-join sample ready for an MI estimator. */
   final case class Sample(x: ColData, y: ColData) { def size: Int = x.size }
 
-  /** Collect the joined sketch into typed columns. A column is numeric iff
-    * all its string slots are null (normalization guarantees homogeneity).
+  /** The sketch join (Section IV, "Approach Overview"), merged in memory
+    * and running no Spark job: the inner join of two hkey-sorted sketches,
+    * one sample row per pair of rows with equal hkeys. The left (train)
+    * sketch holds the target Y, the right (candidate) sketch the feature
+    * X. A sample column is numeric iff it holds no string, so an empty
+    * join is numeric on both sides.
     */
-  def collectSample(joined: DataFrame): Sample = {
-    val rows = joined.select("xNum", "xStr", "yNum", "yStr").collect()
-    def colOf(numIdx: Int, strIdx: Int): ColData = {
-      val numeric = rows.forall(_.isNullAt(strIdx))
-      if (numeric) NumCol(rows.map(_.getDouble(numIdx)))
-      else StrCol(rows.map(_.getString(strIdx)))
+  def merge(left: SketchData, right: SketchData): Sample = {
+    val li = Array.newBuilder[Int]
+    val ri = Array.newBuilder[Int]
+    var i  = 0
+    var j  = 0 // right rows before j have hkeys below left.hkey(i)
+    while (i < left.size && j < right.size) {
+      val h = left.hkey(i)
+      if (h < right.hkey(j)) i += 1
+      else if (h > right.hkey(j)) j += 1
+      else {
+        var b = j
+        while (b < right.size && right.hkey(b) == h) { li += i; ri += b; b += 1 }
+        i += 1
+      }
     }
-    Sample(x = colOf(0, 1), y = colOf(2, 3))
+    Sample(x = pick(right.values, ri.result()), y = pick(left.values, li.result()))
   }
+
+  private def pick(values: ColData, idx: Array[Int]): ColData = values match {
+    case StrCol(vs) if idx.nonEmpty => StrCol(idx.map(vs))
+    case StrCol(_)                  => NumCol(Array.empty)
+    case NumCol(vs)                 => NumCol(idx.map(vs))
+  }
+
+  /** DataFrame-level entry to the sketch join, for callers holding sketch
+    * DataFrames: `collectSample(join(left, right))` collects both sketches
+    * (one job each) and merges them with [[merge]].
+    */
+  def join(left: DataFrame, right: DataFrame): (SketchData, SketchData) =
+    (SketchData.collect(left), SketchData.collect(right))
+
+  /** Merge two sketches collected by [[join]]. */
+  def collectSample(joined: (SketchData, SketchData)): Sample = merge(joined._1, joined._2)
 }
 
 /** One sketch tuple; `hu` orders the k-minimum selection. */

@@ -20,12 +20,12 @@ class IndSkCskSpec extends SparkSpec {
     val left  = spark.range(0, 5000).select(col("id") as "k", rand(2) as "y")
     val right = spark.range(0, 5000).select(col("id") as "k", rand(3) as "x")
     val conf  = SketchConf(256)
-    val ind = Sketch.join(
+    val ind = Sketch.collectSample(Sketch.join(
       IndSk.sketchLeft(left, "k", "y", conf),
-      IndSk.sketchRight(right, "k", "x", AggFn.First, conf)).count()
-    val tup = Sketch.join(
+      IndSk.sketchRight(right, "k", "x", AggFn.First, conf))).size
+    val tup = Sketch.collectSample(Sketch.join(
       TupSk.sketchLeft(left, "k", "y", conf),
-      TupSk.sketchRight(right, "k", "x", AggFn.First, conf)).count()
+      TupSk.sketchRight(right, "k", "x", AggFn.First, conf))).size
     assert(tup == 256)
     assert(ind < 60, s"independent join size $ind should be far below 256")
   }
@@ -66,9 +66,9 @@ class IndSkCskSpec extends SparkSpec {
     val left  = spark.range(0, 3000).select(col("id") as "k", rand(5) as "y")
     val right = spark.range(0, 3000).select(col("id") as "k", rand(6) as "x")
     val conf  = SketchConf(128)
-    val j = Sketch.join(
+    val j = Sketch.collectSample(Sketch.join(
       Csk.sketchLeft(left, "k", "y", conf),
-      Csk.sketchRight(right, "k", "x", AggFn.First, conf)).count()
+      Csk.sketchRight(right, "k", "x", AggFn.First, conf))).size
     assert(j == 128)
   }
 

@@ -2,7 +2,7 @@ package repro.sketch
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.mi.{EstimatorKind, MI}
+import repro.mi.{EstimatorKind, MI, NumCol}
 import repro.sketch.Sketch.SketchConf
 import repro.stats.Rng
 import repro.synth.{CDUnif, Decompose}
@@ -19,11 +19,10 @@ class SketchJoinSpec extends SparkSpec {
       .select("x", "y").collect().map(r => (r.getDouble(0), r.getDouble(1))).toSet
     for (sk <- Sketcher.all) {
       val conf   = SketchConf(128)
-      val joined = Sketch.join(
+      val s = Sketch.collectSample(Sketch.join(
         sk.sketchLeft(pair.train, "k", "y", conf),
-        sk.sketchRight(pair.cand, "k", "x", AggFn.First, conf))
-      val pairs = joined.select("xNum", "yNum").collect()
-        .map(r => (r.getDouble(0), r.getDouble(1))).toSet
+        sk.sketchRight(pair.cand, "k", "x", AggFn.First, conf)))
+      val pairs = s.x.asInstanceOf[NumCol].values.zip(s.y.asInstanceOf[NumCol].values).toSet
       assert(pairs.subsetOf(full), s"${sk.name}: sampled pairs not in the full join")
     }
     pair.train.unpersist(); pair.cand.unpersist()
@@ -35,10 +34,10 @@ class SketchJoinSpec extends SparkSpec {
     val conf  = SketchConf(64)
     val l = TupSk.sketchLeft(left, "k", "y", conf).cache()
     val r = TupSk.sketchRight(right, "k", "x", AggFn.First, conf).cache()
-    val got = Sketch.join(l, r).select(col("hkey").cast("string") as "hkey",
-      col("yNum") as "y", col("xNum") as "x")
+    val s   = Sketch.collectSample(Sketch.join(l, r))
+    val got = s.y.asInstanceOf[NumCol].values.zip(s.x.asInstanceOf[NumCol].values).toSeq.toDF("y", "x")
     Oracle.assertEquivalent(got,
-      """SELECT l.hkey AS hkey, CAST(l.vNum AS DOUBLE) AS y, CAST(r.vNum AS DOUBLE) AS x
+      """SELECT CAST(l.vNum AS DOUBLE) AS y, CAST(r.vNum AS DOUBLE) AS x
         |FROM l JOIN r ON l.hkey = r.hkey""".stripMargin,
       "l" -> l.select("hkey", "vNum"), "r" -> r.select("hkey", "vNum"))
     l.unpersist(); r.unpersist()
@@ -80,21 +79,21 @@ class SketchJoinSpec extends SparkSpec {
     val (xi, yd) = CDUnif.sample(rng, 10, 800)
     val pair     = Decompose(spark, xi.map(_.toDouble), yd, Decompose.KeyInd)
     val conf     = SketchConf(10000)
-    val joined = Sketch.join(
+    val s = Sketch.collectSample(Sketch.join(
       TupSk.sketchLeft(pair.train, "k", "y", conf),
-      TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf))
-    assert(joined.count() == 800)
+      TupSk.sketchRight(pair.cand, "k", "x", AggFn.First, conf)))
+    assert(s.size == 800)
   }
 
   test("an empty table yields an empty sketch and an empty join") {
     val empty = Seq.empty[(String, Double)].toDF("k", "y")
     val right = Seq(("a", 1.0)).toDF("k", "x")
     val conf  = SketchConf(16)
-    val j = Sketch.join(
+    val (l, r) = Sketch.join(
       TupSk.sketchLeft(empty, "k", "y", conf),
       TupSk.sketchRight(right, "k", "x", AggFn.First, conf))
-    assert(j.count() == 0)
-    val s = Sketch.collectSample(j)
+    assert(l.size == 0 && r.size == 1)
+    val s = Sketch.merge(l, r)
     assert(s.size == 0)
   }
 }
