@@ -38,7 +38,6 @@ object TableIExp {
           triTrialsPerM: Int = 6, cdTrials: Int = 30,
           seed: Long = 7,
           mValues: Seq[Int] = Trinomial.MValues): Seq[Rec] = {
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     val conf = Sketch.SketchConf(n)
     val out  = Seq.newBuilder[Rec]
 

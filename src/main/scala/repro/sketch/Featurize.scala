@@ -1,7 +1,6 @@
 package repro.sketch
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
 
@@ -14,7 +13,9 @@ object AggFn {
   case object First extends AggFn { val name = "FIRST" }
   case object Avg   extends AggFn { val name = "AVG"   }
   case object Count extends AggFn { val name = "COUNT" }
-  /** Most frequent value; ties broken by smallest value, for determinism. */
+  /** Most frequent value; ties broken by smallest value, for determinism.
+    * `-0.0` and `0.0` count as one value, `0.0`.
+    */
   case object Mode  extends AggFn { val name = "MODE"  }
   case object Max   extends AggFn { val name = "MAX"   }
   case object Min   extends AggFn { val name = "MIN"   }
@@ -34,59 +35,36 @@ object Featurize {
   }
 
   /** Aggregate a normalized table `[k, vNum, vStr, rid]` to one row per key,
-    * keeping the normalized value representation: `[k, vNum, vStr, rid]`
-    * (rid = smallest source rid of the group, so downstream occurrence
-    * numbering stays deterministic).
+    * keeping the normalized value representation: `[k, vNum, vStr]`. This is
+    * the paper's `GROUP BY K_Z, AGG(Z)`, one aggregation whatever `agg` is.
     */
   def aggregateNorm(norm: DataFrame, agg: AggFn): DataFrame = {
-    agg match {
-      case AggFn.First =>
-        norm
-          .groupBy("k")
-          .agg(
-            min_by(col("vNum"), col("rid")) as "vNum",
-            min_by(col("vStr"), col("rid")) as "vStr",
-            min("rid") as "rid",
-          )
-      case AggFn.Avg | AggFn.Count | AggFn.Max | AggFn.Min =>
-        val v = agg match {
-          case AggFn.Avg => avg("vNum")
-          case AggFn.Max => max("vNum")
-          case AggFn.Min => min("vNum")
-          case _         => count(lit(1)).cast("double")
-        }
-        norm.groupBy("k").agg(v as "vNum", min("rid") as "rid")
-          .select(col("k"), col("vNum"), lit(null).cast("string") as "vStr", col("rid"))
-      case AggFn.Mode =>
-        // Count each (k, value) pair, then keep the most frequent value per
-        // key; ties broken by the smaller value for determinism.
-        val counts = norm
-          .groupBy("k", "vNum", "vStr")
-          .agg(count(lit(1)) as "cnt", min("rid") as "rid")
-        val w = Window
-          .partitionBy("k")
-          .orderBy(col("cnt").desc, col("vNum").asc_nulls_last, col("vStr").asc_nulls_last)
-        counts
-          .withColumn("rank", row_number().over(w))
-          .filter(col("rank") === 1)
-          .select("k", "vNum", "vStr", "rid")
+    val (vNum, vStr) = agg match {
+      case AggFn.First => (min_by(col("vNum"), col("rid")), min_by(col("vStr"), col("rid")))
+      case AggFn.Avg   => (avg("vNum"), noStr)
+      case AggFn.Max   => (max("vNum"), noStr)
+      case AggFn.Min   => (min("vNum"), noStr)
+      case AggFn.Count => (count(lit(1)).cast("double"), noStr)
+      case AggFn.Mode  =>
+        // The lowest of the most frequent values. GROUP BY folds -0.0 into
+        // 0.0 but `mode` would keep them apart, so fold them here.
+        val zeroFolded = when(col("vNum") === 0.0, 0.0).otherwise(col("vNum"))
+        (mode(zeroFolded, deterministic = true), mode(col("vStr"), deterministic = true))
     }
+    norm.groupBy("k").agg(vNum as "vNum", vStr as "vStr")
   }
 
+  private def noStr: Column = lit(null).cast("string")
+
   /** The paper's join-aggregation query (Section III-B): left-join the train
-    * table with the aggregated candidate, producing `[kY, y, x]`. Used by the
+    * table with the aggregated candidate, producing `[ky, y, xn, xstr]`. Used by the
     * oracle tests and by full-join (non-sketched) MI estimation.
     */
   def augmentedJoin(train: DataFrame, trainKey: String, trainVal: String,
                     cand: DataFrame, candKey: String, candVal: String,
                     agg: AggFn): DataFrame = {
     val aug = aggregate(cand, candKey, candVal, agg)
-      .select(
-        col("k") as "kx",
-        coalesce(col("vNum").cast("string"), col("vStr")) as "xs",
-        col("vNum") as "xn",
-        col("vStr") as "xstr",
-      )
+      .select(col("k") as "kx", col("vNum") as "xn", col("vStr") as "xstr")
     train
       .select(train(trainKey).cast("string") as "ky", train(trainVal) as "y")
       .join(aug, col("ky") === col("kx"), "left")

@@ -41,7 +41,7 @@ object Sketch {
     * with NULL key or value (left-join misses are discarded per Section III)
     * and rows whose numeric value is NaN or infinite, which the k-NN
     * estimators cannot order. `rid` is a per-partition-stable row id used to
-    * define occurrence order.
+    * define occurrence order and FIRST's first value.
     */
   def normalize(df: DataFrame, key: String, value: String): DataFrame = {
     val numeric = df.schema(value).dataType.isInstanceOf[NumericType]

@@ -23,12 +23,11 @@ object Decompose {
     */
   final case class Pair(train: DataFrame, cand: DataFrame)
 
-  /** Decompose parallel value arrays. `xKey` maps x_i to its discrete key
-    * under KeyDep (identity for ints; provided separately because X may be
-    * stored as Double).
+  /** Decompose parallel value arrays. Under KeyDep the key of x_i is x_i
+    * itself, which must be integral.
     */
   def apply(spark: SparkSession, xs: Array[Double], ys: Array[Double],
-            keyGen: KeyGen, xKeys: Array[Long] = null): Pair = {
+            keyGen: KeyGen): Pair = {
     import spark.implicits._
     val n = xs.length
     require(ys.length == n, "decompose: size mismatch")
@@ -38,7 +37,7 @@ object Decompose {
         val cand  = (0 until n).map(i => (i.toLong, xs(i))).toDF("k", "x")
         Pair(train, cand)
       case KeyDep =>
-        val keys  = if (xKeys != null) xKeys else xs.map { x =>
+        val keys  = xs.map { x =>
           require(x == math.rint(x), s"KeyDep requires discrete X, got $x")
           x.toLong
         }

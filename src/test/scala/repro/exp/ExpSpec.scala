@@ -12,9 +12,21 @@ import repro.synth.OpenDataGen
   */
 class ExpSpec extends SparkSpec {
 
-  private lazy val recsI: Seq[TableIExp.Rec] =
+  private def miniRunI(): Seq[TableIExp.Rec] =
     TableIExp.run(spark, n = 128, triTrialsPerM = 1, cdTrials = 2, seed = 3,
       mValues = Seq(64))
+
+  private lazy val recsI: Seq[TableIExp.Rec] = miniRunI()
+
+  test("Table I mini-run leaves the caller's shuffle partitions as they were") {
+    val key  = "spark.sql.shuffle.partitions"
+    val prev = spark.conf.get(key)
+    spark.conf.set(key, "3")
+    try {
+      miniRunI()
+      assert(spark.conf.get(key) == "3")
+    } finally spark.conf.set(key, prev)
+  }
 
   test("Table I mini-run produces records for every sketch/keyGen/estimator") {
     assert(recsI.map(_.sketch).distinct.sorted ==

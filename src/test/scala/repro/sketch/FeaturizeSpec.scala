@@ -1,6 +1,11 @@
 package repro.sketch
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
 
 class FeaturizeSpec extends SparkSpec {
@@ -86,6 +91,55 @@ class FeaturizeSpec extends SparkSpec {
     val agg = Featurize.aggregateNorm(Sketch.normalize(c, "k", "z"), AggFn.Mode)
       .select("k", "vStr").collect().map(r => r.getString(0) -> r.getString(1)).toMap
     assert(agg == Map("a" -> "v", "b" -> "w"))
+  }
+
+  test("MODE folds -0.0 into 0.0, as grouping by the value does") {
+    val c = Seq(("a", -0.0), ("a", 0.0), ("a", 5.0), ("b", -0.0), ("b", -0.0), ("b", 5.0))
+      .toDF("k", "z")
+    val agg = Featurize.aggregateNorm(Sketch.normalize(c, "k", "z"), AggFn.Mode)
+      .select("k", "vNum").collect()
+      .map(r => r.getString(0) -> java.lang.Double.doubleToRawLongBits(r.getDouble(1))).toMap
+    assert(agg == Map("a" -> 0L, "b" -> 0L))
+  }
+
+  /** Rows as strings, which tell -0.0 from 0.0. */
+  private def rowStrings(df: DataFrame): Seq[String] =
+    df.select("k", "vNum", "vStr").collect().map(_.toString).toSeq.sorted
+
+  test("MODE equals the count-and-rank oracle on tie-heavy tables (property)") {
+    val nums = Seq(-0.0, 0.0, 1.0, 2.5, -3.0)
+    val strs = (0 until 5).map(i => s"s$i")
+    val gen = for {
+      numeric <- Gen.oneOf(true, false)
+      parts   <- Gen.choose(1, 8)
+      size    <- Gen.choose(0, 60)
+      rows    <- Gen.listOfN(size, Gen.zip(Gen.choose(0, 5), Gen.oneOf(if (numeric) nums else strs)))
+    } yield (numeric, parts, rows)
+    val prop = Prop.forAllNoShrink(gen) { case (numeric, parts, rows) =>
+      val schema = StructType(Seq(StructField("k", StringType),
+        StructField("z", if (numeric) DoubleType else StringType)))
+      val df = spark.createDataFrame(
+        spark.sparkContext.parallelize(rows.map { case (k, v) => Row(s"k$k", v) }, parts), schema)
+      val norm = Sketch.normalize(df, "k", "z")
+      val (got, exp) =
+        (rowStrings(Featurize.aggregateNorm(norm, AggFn.Mode)), rowStrings(ModeOracle.mode(norm)))
+      Prop(got == exp) :| s"mode $got vs oracle $exp"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("every AGG is one aggregation: one shuffle exchange and no window") {
+    val helper = new AdaptiveSparkPlanHelper {}
+    val norm   = Sketch.normalize(candNum, "k", "z")
+    for (agg <- Seq(AggFn.First, AggFn.Avg, AggFn.Count, AggFn.Mode, AggFn.Max, AggFn.Min)) {
+      val df = Featurize.aggregateNorm(norm, agg)
+      df.collect()
+      val plan     = df.queryExecution.executedPlan
+      val shuffles = helper.collect(plan) { case s: ShuffleExchangeExec => s }
+      val windows  = helper.collect(plan) { case p if p.nodeName.contains("Window") => p }
+      assert(shuffles.size == 1 && windows.isEmpty, s"${agg.name}:\n$plan")
+    }
   }
 
   test("normalization drops NULL keys and values") {
